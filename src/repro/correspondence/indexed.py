@@ -145,9 +145,14 @@ def verify_index_relation(
     """Check every pair of ``index_relation`` and collect the results."""
     report = IndexedCorrespondenceReport(index_relation=index_relation)
     report.total = index_relation.is_total_for(left.index_values, right.index_values)
+    # Reduce each index of each side once, however many pairs of IN use it.
+    left_indices = {left_index for left_index, _ in index_relation.pairs}
+    right_indices = {right_index for _, right_index in index_relation.pairs}
+    reduced_left = {index: reduce_to_index(left, index) for index in left_indices}
+    reduced_right = {index: reduce_to_index(right, index) for index in right_indices}
     for left_index, right_index in index_relation:
-        report.relations[(left_index, right_index)] = indexed_correspondence(
-            left, right, left_index, right_index, max_degree=max_degree
+        report.relations[(left_index, right_index)] = find_correspondence(
+            reduced_left[left_index], reduced_right[right_index], max_degree=max_degree
         )
     return report
 

@@ -30,13 +30,16 @@ class CorrespondenceRelation:
     """An immutable degree-annotated relation between the states of two structures."""
 
     def __init__(self, degrees: Mapping[Pair, int]) -> None:
-        cleaned: Dict[Pair, int] = {}
+        # Copying a dict reuses its stored key hashes; only non-int degrees
+        # need a second lookup.
+        cleaned: Dict[Pair, int] = dict(degrees)
         for pair, degree in degrees.items():
             if degree < 0:
                 raise CorrespondenceError(
                     "correspondence degrees must be non-negative; pair %r got %d" % (pair, degree)
                 )
-            cleaned[pair] = int(degree)
+            if type(degree) is not int:
+                cleaned[pair] = int(degree)
         self._degrees = cleaned
 
     # -- construction helpers --------------------------------------------------

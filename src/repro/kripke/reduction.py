@@ -69,11 +69,4 @@ def reduce_to_index(
                 kept.append(element)
         return frozenset(kept)
 
-    reduced = structure.with_labels(relabel)
-    return KripkeStructure(
-        reduced.states,
-        {state: reduced.successors(state) for state in reduced.states},
-        {state: reduced.label(state) for state in reduced.states},
-        reduced.initial_state,
-        name="%s|%s" % (structure.name or "M", index),
-    )
+    return structure.with_labels(relabel, name="%s|%s" % (structure.name or "M", index))

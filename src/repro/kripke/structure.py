@@ -240,16 +240,24 @@ class KripkeStructure:
 
     # -- derived structures ---------------------------------------------------
 
-    def with_labels(self, relabel) -> "KripkeStructure":
-        """Return a copy of the structure with each label replaced by ``relabel(state, label)``."""
-        labeling = {state: relabel(state, self._labels[state]) for state in self._states}
-        return KripkeStructure(
-            self._states,
-            {state: self._successors[state] for state in self._states},
-            labeling,
-            self._initial_state,
-            name=self._name,
-        )
+    def with_labels(self, relabel, name: str | None = None) -> "KripkeStructure":
+        """Return a copy of the structure with each label replaced by ``relabel(state, label)``.
+
+        The copy is a plain :class:`KripkeStructure` named ``name`` (this
+        structure's name by default).  It shares the already validated state
+        set and transition maps, which are immutable, so only the labels are
+        rebuilt.
+        """
+        derived = KripkeStructure.__new__(KripkeStructure)
+        derived._states = self._states
+        derived._initial_state = self._initial_state
+        derived._name = self._name if name is None else name
+        derived._successors = self._successors
+        derived._predecessors = self._predecessors
+        derived._labels = {
+            state: frozenset(relabel(state, label)) for state, label in self._labels.items()
+        }
+        return derived
 
     def to_dict(self) -> dict:
         """Return a JSON-serialisable description (states become their ``repr``)."""

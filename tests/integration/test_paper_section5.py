@@ -119,6 +119,25 @@ def test_corrected_base_case_corresponds(ring3, ring4):
         )
 
 
+#: Degree histogram of every ``M_3|i ~ M_5|j`` relation under
+#: ``corrected_index_relation(3, 5)``, recorded from the level-sweep decision
+#: procedure the worklist algorithm replaced: 852 pairs, maximal degree 8.
+M3_M5_DEGREE_HISTOGRAM = {0: 368, 1: 109, 2: 132, 3: 110, 4: 57, 5: 39, 6: 25, 7: 10, 8: 2}
+
+
+def test_m3_m5_minimal_degrees_are_pinned(ring3):
+    report = verify_index_relation(
+        ring3, token_ring.build_token_ring(5), token_ring.corrected_index_relation(3, 5)
+    )
+    assert report.holds
+    assert len(report.relations) == 9
+    for pair, relation in report.relations.items():
+        histogram = {}
+        for _, degree in relation.items():
+            histogram[degree] = histogram.get(degree, 0) + 1
+        assert histogram == M3_M5_DEGREE_HISTOGRAM, pair
+
+
 def test_transfer_workflow_from_the_three_process_ring(ring3):
     """The paper's intended workflow, with the corrected base: check small, conclude large."""
     large = token_ring.build_token_ring(5)

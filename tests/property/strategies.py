@@ -2,7 +2,8 @@
 
 Two families of strategies are provided: random total Kripke structures over a
 small alphabet of atomic propositions, and random formulas (CTL and next-free
-CTL*) over the same alphabet.
+CTL*) over the same alphabet.  ``stutter_expand`` derives a structure that
+corresponds to its input by splitting one state into a stuttering chain.
 """
 
 from __future__ import annotations
@@ -44,6 +45,28 @@ def kripke_structures(draw, min_states: int = 1, max_states: int = 5):
         transitions.extend((state, target) for target in targets)
     initial = draw(st.sampled_from(states))
     return KripkeStructure(states, transitions, labeling, initial, name="random")
+
+
+def stutter_expand(structure: KripkeStructure, state_to_split, seed: int = 0) -> KripkeStructure:
+    """Split ``state_to_split`` into a two-state chain with the same label."""
+    part_a = ("split", state_to_split, "a")
+    part_b = ("split", state_to_split, "b")
+    states = [s for s in structure.states if s != state_to_split] + [part_a, part_b]
+    transitions = []
+    for source, target in structure.transition_pairs():
+        new_source = part_b if source == state_to_split else source
+        new_target = part_a if target == state_to_split else target
+        transitions.append((new_source, new_target))
+    transitions.append((part_a, part_b))
+    labeling = {
+        state: structure.label(state) for state in structure.states if state != state_to_split
+    }
+    labeling[part_a] = structure.label(state_to_split)
+    labeling[part_b] = structure.label(state_to_split)
+    initial = (
+        part_a if structure.initial_state == state_to_split else structure.initial_state
+    )
+    return KripkeStructure(states, transitions, labeling, initial, name="stuttered")
 
 
 def _atomic():

@@ -12,36 +12,13 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strategies import ctl_formulas, ctlstar_path_formulas, kripke_structures
+from strategies import ctl_formulas, ctlstar_path_formulas, kripke_structures, stutter_expand
 
-from repro.kripke.structure import KripkeStructure
 from repro.logic.ast import Exists
 from repro.mc.ctlstar import CTLStarModelChecker
 from repro.correspondence.blocks import blocks_correspond, corresponding_path
 from repro.correspondence.check import find_correspondence
 from repro.correspondence.definition import is_correspondence
-
-
-def stutter_expand(structure: KripkeStructure, state_to_split, seed: int = 0) -> KripkeStructure:
-    """Split ``state_to_split`` into a two-state chain with the same label."""
-    part_a = ("split", state_to_split, "a")
-    part_b = ("split", state_to_split, "b")
-    states = [s for s in structure.states if s != state_to_split] + [part_a, part_b]
-    transitions = []
-    for source, target in structure.transition_pairs():
-        new_source = part_b if source == state_to_split else source
-        new_target = part_a if target == state_to_split else target
-        transitions.append((new_source, new_target))
-    transitions.append((part_a, part_b))
-    labeling = {
-        state: structure.label(state) for state in structure.states if state != state_to_split
-    }
-    labeling[part_a] = structure.label(state_to_split)
-    labeling[part_b] = structure.label(state_to_split)
-    initial = (
-        part_a if structure.initial_state == state_to_split else structure.initial_state
-    )
-    return KripkeStructure(states, transitions, labeling, initial, name="stuttered")
 
 
 @given(structure=kripke_structures())
