@@ -11,10 +11,13 @@ solves each with :class:`repro.sat.solver.Solver`, and checks the verdict:
 * a second solver for the same instance runs :meth:`Solver.inprocess`
   (subsumption, strengthening, vivification) before solving and must reach
   the same verdict — the differential check for the inprocessing passes;
-* each instance is re-queried under random assumptions; an UNSAT answer
+* the already-solved solver is then inprocessed over its learnt database
+  (backward subsumption may promote learnt clauses, vivification may
+  shorten them) and re-queried under random assumptions; an UNSAT answer
   there must come with an :meth:`Solver.unsat_core` that is a subset of the
   assumptions and is itself sufficient (the formula conjoined with just the
-  core stays unsatisfiable under the enumerator);
+  core stays unsatisfiable under the enumerator), and a SAT answer with a
+  model of the original formula;
 * every solver runs with a :mod:`repro.sat.drat` proof log attached, and the
   full transcript — covering *every* UNSAT verdict the round produced — must
   pass the independent forward RUP/DRAT checker.
@@ -118,7 +121,10 @@ def run_fuzz(
                 file=out,
             )
 
-        # Assumption/core check on the already-solved incremental solver.
+        # Assumption/core check on the already-solved incremental solver,
+        # inprocessed first so simplification over learnt clauses is checked
+        # (and DRAT-certified) too.
+        solver.inprocess()
         assumptions = [
             var if rng.random() < 0.5 else -var
             for var in rng.sample(range(1, cnf.num_vars + 1), k=min(3, cnf.num_vars))

@@ -3,8 +3,9 @@
 A structural audit of a :class:`~repro.sat.solver.Solver` at its stable
 points (end of :meth:`~repro.sat.solver.Solver.solve` and of
 :meth:`~repro.sat.solver.Solver.inprocess`): two-watched-literal
-bookkeeping, trail/decision-level consistency, implication-reason
-validity, VSIDS heap shape, and learnt-database/LBD accounting.
+bookkeeping, literal-value antisymmetry, trail/decision-level
+consistency, implication-reason validity, VSIDS heap shape, and
+learnt-database/LBD accounting.
 
 Mirrors :mod:`repro.bdd.sanitize`: disabled by default, hook sites test
 one module global (:data:`MODE`), enable with ``REPRO_SANITIZE=1`` /
@@ -73,7 +74,13 @@ def check_solver(solver) -> None:
 
     What the CDCL loop promises at a stable (fully propagated) point:
 
-    * array sizes track ``num_vars``; assignments are in ``{-1, 0, +1}``;
+    * array sizes track ``num_vars``; the literal-indexed value and watch
+      lists share one length with room for both polarities, every
+      literal has a watch list, and the spare middle slots (and slot 0)
+      are unassigned with no watch list;
+    * literal values are in ``{-1, 0, +1}`` and antisymmetric: each
+      literal's value is the negation of its mirror's (``values[-v] ==
+      -values[v]``);
     * the trail holds each assigned variable exactly once, as a currently
       true literal, with decision levels matching the ``_trail_lim``
       segmentation; implied literals carry a reason clause that really
@@ -88,7 +95,8 @@ def check_solver(solver) -> None:
       checked only when the trail is fully propagated and the database is
       still satisfiable as far as the solver knows (``_ok``);
     * the VSIDS heap is a well-formed max-heap consistent with its
-      position map, and (at decision level zero) contains every
+      position list, which holds ``-1`` exactly for the variables not in
+      the heap, and (at decision level zero) contains every
       unassigned variable — a variable missing from the heap could never
       be branched on again;
     * learnt-database bookkeeping: ``learnt`` flags match the list a
@@ -96,7 +104,8 @@ def check_solver(solver) -> None:
       literals inside a clause.
     """
     num_vars = solver.num_vars
-    assign = solver._assign
+    values = solver._values
+    watches = solver._watches
     level = solver._level
     reason = solver._reason
     trail = solver._trail
@@ -104,14 +113,31 @@ def check_solver(solver) -> None:
 
     # -- array shapes ------------------------------------------------------
     if not (
-        len(assign) == len(level) == len(reason) == len(solver._activity) == num_vars + 1
+        len(level)
+        == len(reason)
+        == len(solver._activity)
+        == len(solver._order._position)
+        == num_vars + 1
     ):
         _fail(solver, "per-variable arrays disagree with num_vars")
-    if len(solver._watches) != 2 * num_vars + 2:
-        _fail(solver, "watch-list array has wrong length")
+    if len(watches) != len(values):
+        _fail(solver, "watch and value lists differ in length")
+    if len(values) <= 2 * num_vars:
+        _fail(solver, "literal-indexed lists too short for %d vars" % num_vars)
+    for slot in range(num_vars + 1, len(values) - num_vars):
+        if values[slot] != 0 or watches[slot] is not None:
+            _fail(solver, "spare literal slot %d is in use" % slot)
+    if values[0] != 0 or watches[0] is not None:
+        _fail(solver, "literal slot 0 is in use")
     for var in range(1, num_vars + 1):
-        if assign[var] not in (-1, 0, 1):
-            _fail(solver, "assignment of var %d is %r" % (var, assign[var]))
+        if values[var] not in (-1, 0, 1):
+            _fail(solver, "value of literal %d is %r" % (var, values[var]))
+        if values[-var] != -values[var]:
+            _fail(
+                solver,
+                "value of literal %d (%r) is not the negation of its mirror %d (%r)"
+                % (-var, values[-var], var, values[var]),
+            )
 
     # -- trail / levels ----------------------------------------------------
     decision_level = len(trail_lim)
@@ -131,8 +157,7 @@ def check_solver(solver) -> None:
         seen_vars.add(var)
         while segment < decision_level and trail_lim[segment] <= index:
             segment += 1
-        value = assign[var] if literal > 0 else -assign[var]
-        if value != 1:
+        if values[literal] != 1:
             _fail(solver, "trail literal %d is not currently true" % literal)
         if level[var] != segment:
             _fail(
@@ -141,9 +166,9 @@ def check_solver(solver) -> None:
                 % (literal, segment, level[var]),
             )
     for var in range(1, num_vars + 1):
-        if assign[var] != 0 and var not in seen_vars:
+        if values[var] != 0 and var not in seen_vars:
             _fail(solver, "var %d assigned but missing from the trail" % var)
-        if assign[var] != 0 and level[var] > decision_level:
+        if values[var] != 0 and level[var] > decision_level:
             _fail(
                 solver,
                 "var %d carries level %d above the current decision level %d"
@@ -155,19 +180,18 @@ def check_solver(solver) -> None:
         clause = reason[var]
         if clause is None:
             continue
-        if assign[var] == 0:
+        if values[var] == 0:
             _fail(solver, "unassigned var %d still has a reason clause" % var)
         if clause.removed:
             _fail(solver, "reason clause of var %d was deleted" % var)
-        literal = var if assign[var] > 0 else -var
+        literal = var if values[var] > 0 else -var
         if literal not in clause.lits:
             _fail(solver, "reason clause of var %d does not contain its literal" % var)
         for other in clause.lits:
             if other == literal:
                 continue
             other_var = abs(other)
-            value = assign[other_var] if other > 0 else -assign[other_var]
-            if value != -1:
+            if values[other] != -1:
                 _fail(
                     solver,
                     "reason clause of var %d has non-false co-literal %d" % (var, other),
@@ -213,9 +237,10 @@ def check_solver(solver) -> None:
     # -- watch lists -------------------------------------------------------
     known = {id(clause) for clause in database}
     watched_under: Dict[int, List[int]] = {}
-    for index in range(2, len(solver._watches)):
-        literal = index // 2 if index % 2 == 0 else -(index // 2)
-        watchers = solver._watches[index]
+    for literal in list(range(1, num_vars + 1)) + list(range(-num_vars, 0)):
+        watchers = watches[literal]
+        if watchers is None:
+            _fail(solver, "literal %d has no watch list" % literal)
         if len(watchers) % 2:
             _fail(solver, "watch list of %d has odd length" % literal)
         for position in range(0, len(watchers), 2):
@@ -239,8 +264,7 @@ def check_solver(solver) -> None:
                 blocker_var = abs(blocker)
                 if not 1 <= blocker_var <= num_vars:
                     _fail(solver, "blocker %d is not a literal at all" % blocker)
-                value = assign[blocker_var] if blocker > 0 else -assign[blocker_var]
-                if not (value == -1 and level[blocker_var] == 0):
+                if not (values[blocker] == -1 and level[blocker_var] == 0):
                     _fail(
                         solver,
                         "blocker %d is not a literal of the watched clause %r "
@@ -260,15 +284,11 @@ def check_solver(solver) -> None:
     # -- two-watch semantics ----------------------------------------------
     fully_propagated = solver._qhead == len(trail) and solver._ok
     if fully_propagated:
-        def lit_value(literal: int) -> int:
-            value = assign[abs(literal)]
-            return -value if literal < 0 else value
-
         for clause in database:
-            if any(lit_value(literal) == 1 for literal in clause.lits):
+            if any(values[literal] == 1 for literal in clause.lits):
                 continue
             for literal in clause.lits[:2]:
-                if lit_value(literal) == -1:
+                if values[literal] == -1:
                     _fail(
                         solver,
                         "unsatisfied clause %r has false watched literal %d "
@@ -280,13 +300,13 @@ def check_solver(solver) -> None:
     heap = order._heap
     position = order._position
     activity = solver._activity
-    if len(heap) != len(position):
-        _fail(solver, "VSIDS heap and position map sizes differ")
+    if position[0] != -1:
+        _fail(solver, "VSIDS position slot 0 is %r, not -1" % (position[0],))
     for index, var in enumerate(heap):
         if not 1 <= var <= num_vars:
             _fail(solver, "VSIDS heap holds invalid var %r" % (var,))
-        if position.get(var) != index:
-            _fail(solver, "VSIDS position map is stale for var %d" % var)
+        if position[var] != index:
+            _fail(solver, "VSIDS position list is stale for var %d" % var)
         if index:
             parent = heap[(index - 1) // 2]
             if activity[parent] < activity[var]:
@@ -295,7 +315,15 @@ def check_solver(solver) -> None:
                     "VSIDS max-heap violated: parent %d (%.3g) < child %d (%.3g)"
                     % (parent, activity[parent], var, activity[var]),
                 )
+    for var in range(1, num_vars + 1):
+        index = position[var]
+        if index != -1 and not (0 <= index < len(heap) and heap[index] == var):
+            _fail(
+                solver,
+                "VSIDS position of var %d is %d, but the var is not there "
+                "(a var outside the heap must sit at -1)" % (var, index),
+            )
     if decision_level == 0 and fully_propagated:
         for var in range(1, num_vars + 1):
-            if assign[var] == 0 and var not in position:
+            if values[var] == 0 and position[var] < 0:
                 _fail(solver, "unassigned var %d fell out of the VSIDS heap" % var)

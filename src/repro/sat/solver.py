@@ -49,6 +49,19 @@ Literals use the DIMACS convention of :mod:`repro.sat.cnf` (positive ints
 are variables, negation is arithmetic negation), and the solver exposes the
 same ``new_var`` / ``add_clause`` sink protocol as :class:`repro.sat.cnf.CNF`
 so Tseitin encodings can stream straight into it.
+
+Data layout (MiniSat's, adapted to Python lists): the truth values and the
+watch lists are indexed by the literal itself.  Variable ``v`` lives at
+slot ``v`` and its negation ``-v`` at slot ``len - v``, which Python's
+negative indexing reaches directly, so ``values[lit]`` is ``+1`` (true),
+``-1`` (false) or ``0`` (unassigned) with no ``abs``, sign test or call —
+and ``values[-lit] == -values[lit]`` always.  The middle of each list is
+spare capacity, doubled by :meth:`Solver.new_var` when the two halves
+would meet.  Levels, reasons, saved phases, activities and the VSIDS heap
+positions stay per variable; a heap position of ``-1`` means "not in the
+heap".  Propagation, analysis and backtracking inline their assignment,
+activity-bump and heap updates, so the hot loops make no per-literal
+method calls.
 """
 
 from __future__ import annotations
@@ -147,74 +160,66 @@ class _Clause:
 
 
 class _VarOrder:
-    """Indexed max-heap over variable activities (the VSIDS decision order)."""
+    """Indexed max-heap over variable activities (the VSIDS decision order).
+
+    ``_position[var]`` is the variable's index in ``_heap``, or ``-1`` when
+    it is not in the heap; slot 0 (no variable) is always ``-1``.
+    """
 
     __slots__ = ("_heap", "_position", "_activity")
 
     def __init__(self, activity: List[float]) -> None:
         self._heap: List[int] = []
-        self._position: Dict[int, int] = {}
+        self._position: List[int] = [-1]
         self._activity = activity
 
-    def __contains__(self, var: int) -> bool:
-        return var in self._position
-
-    def insert(self, var: int) -> None:
-        if var in self._position:
-            return
-        self._heap.append(var)
-        self._position[var] = len(self._heap) - 1
-        self._up(len(self._heap) - 1)
-
-    def bump(self, var: int) -> None:
-        position = self._position.get(var)
-        if position is not None:
-            self._up(position)
-
-    def pop(self) -> Optional[int]:
-        if not self._heap:
-            return None
-        top = self._heap[0]
-        last = self._heap.pop()
-        del self._position[top]
-        if self._heap:
-            self._heap[0] = last
-            self._position[last] = 0
-            self._down(0)
-        return top
-
-    def _up(self, index: int) -> None:
+    def add_var(self, var: int) -> None:
+        """Register the fresh variable ``var`` (the next id) and insert it."""
         heap, position, activity = self._heap, self._position, self._activity
-        var = heap[index]
+        position.append(-1)
         score = activity[var]
+        index = len(heap)
+        heap.append(var)
         while index > 0:
             parent = (index - 1) >> 1
-            if activity[heap[parent]] >= score:
+            above = heap[parent]
+            if activity[above] >= score:
                 break
-            heap[index] = heap[parent]
-            position[heap[index]] = index
+            heap[index] = above
+            position[above] = index
             index = parent
         heap[index] = var
         position[var] = index
 
-    def _down(self, index: int) -> None:
-        heap, position, activity = self._heap, self._position, self._activity
+    def pop(self) -> Optional[int]:
+        """Remove and return the most active variable (``None`` when empty)."""
+        heap = self._heap
+        if not heap:
+            return None
+        position, activity = self._position, self._activity
+        top = heap[0]
+        position[top] = -1
+        var = heap.pop()
         size = len(heap)
-        var = heap[index]
-        score = activity[var]
-        while True:
-            child = 2 * index + 1
-            if child >= size:
-                break
-            if child + 1 < size and activity[heap[child + 1]] > activity[heap[child]]:
-                child += 1
-            if activity[heap[child]] <= score:
-                break
-            heap[index] = heap[child]
-            position[heap[index]] = index
-            index = child
-        heap[index] = var
-        position[var] = index
+        if size:
+            # Sift the former last leaf down from the root.
+            score = activity[var]
+            index = 0
+            child = 1
+            while child < size:
+                right = child + 1
+                if right < size and activity[heap[right]] > activity[heap[child]]:
+                    child = right
+                below = heap[child]
+                if activity[below] <= score:
+                    break
+                heap[index] = below
+                position[below] = index
+                index = child
+                child = 2 * index + 1
+            heap[index] = var
+            position[var] = index
+        return top
 
 
 class Solver(ClauseSink):
@@ -246,17 +251,18 @@ class Solver(ClauseSink):
         self.stats = SolverStats()
         self._ok = True
         self._num_vars = 0
+        # Per-literal state: slot ``v`` for ``v``, slot ``len - v`` for
+        # ``-v`` (see the module docstring); the middle is spare capacity.
+        self._values: List[int] = [0, 0]  # 0 unassigned, +1 true, -1 false
+        # Each watch list is a flat interleaved ``[blocker, clause, …]``;
+        # spare slots hold None until new_var claims them.
+        self._watches: List[Optional[List[object]]] = [None, None]
         # Per-variable state, 1-indexed (slot 0 unused).
-        self._assign: List[int] = [0]  # 0 unassigned, +1 true, -1 false
         self._level: List[int] = [0]
         self._reason: List[Optional[_Clause]] = [None]
         self._phase: List[bool] = [False]
         self._activity: List[float] = [0.0]
         self._seen: List[bool] = [False]
-        # Watches indexed by literal (2*var for positive, 2*var+1 for
-        # negative); each entry is a flat interleaved array
-        # ``[blocker, clause, blocker, clause, …]``.
-        self._watches: List[List[object]] = [[], []]
         self._clauses: List[_Clause] = []
         self._learnts: List[_Clause] = []
         self._trail: List[int] = []
@@ -268,7 +274,9 @@ class Solver(ClauseSink):
         self._cla_inc = 1.0
         self._cla_decay = clause_decay
         self._max_learnts = 1000.0
-        self._model: Dict[int, bool] = {}
+        # Snapshot of ``_values`` at the last SAT answer (None: no model).
+        self._model: Optional[List[int]] = None
+        self._model_vars = 0
         self._conflict_core: Optional[FrozenSet[int]] = None
         self._next_inprocess = self._INPROCESS_INTERVAL
         self._true_literal = None
@@ -283,17 +291,28 @@ class Solver(ClauseSink):
 
     def new_var(self) -> int:
         """Allocate a fresh variable and return it (a positive integer)."""
-        self._num_vars += 1
-        self._assign.append(0)
+        var = self._num_vars + 1
+        size = len(self._values)
+        if 2 * var >= size:
+            # Double the literal-indexed lists; the negative half moves to
+            # the new end so ``-v`` still addresses slot ``len - v``.
+            grown = 2 * size
+            tail = size - self._num_vars
+            values = self._values
+            spare = grown - 2 * var + 1
+            self._values = values[:var] + [0] * spare + values[tail:]
+            watches = self._watches
+            self._watches = watches[:var] + [None] * spare + watches[tail:]
+        self._watches[var] = []
+        self._watches[-var] = []
+        self._num_vars = var
         self._level.append(0)
         self._reason.append(None)
         self._phase.append(False)
         self._activity.append(0.0)
         self._seen.append(False)
-        self._watches.append([])
-        self._watches.append([])
-        self._order.insert(self._num_vars)
-        return self._num_vars
+        self._order.add_var(var)
+        return var
 
     def _ensure_var(self, var: int) -> None:
         while self._num_vars < var:
@@ -355,8 +374,9 @@ class Solver(ClauseSink):
             if literal == 0:
                 raise SatError("0 is not a literal (it terminates DIMACS clauses)")
             var = abs(literal)
-            self._ensure_var(var)
-            value = self._value(literal)
+            if var > self._num_vars:
+                self._ensure_var(var)
+            value = self._values[literal]
             if value == 1:
                 return True  # satisfied at level 0
             if value == -1:
@@ -388,52 +408,77 @@ class Solver(ClauseSink):
 
     # -- assignments -----------------------------------------------------------
 
-    @staticmethod
-    def _watch_index(literal: int) -> int:
-        return 2 * literal if literal > 0 else -2 * literal + 1
-
-    def _value(self, literal: int) -> int:
-        """+1 when ``literal`` is true, -1 when false, 0 when unassigned."""
-        value = self._assign[abs(literal)]
-        return -value if literal < 0 else value
-
     def _decision_level(self) -> int:
         return len(self._trail_lim)
 
     def _enqueue(self, literal: int, reason: Optional[_Clause]) -> None:
-        var = abs(literal)
-        self._assign[var] = 1 if literal > 0 else -1
-        self._level[var] = self._decision_level()
+        """Make ``literal`` true at the current level (the cold-path twin of
+        the assignment :meth:`_propagate` inlines)."""
+        values = self._values
+        values[literal] = 1
+        values[-literal] = -1
+        var = literal if literal > 0 else -literal
+        self._level[var] = len(self._trail_lim)
         self._reason[var] = reason
-        self._phase[var] = literal > 0
         self._trail.append(literal)
 
     def _cancel_until(self, level: int) -> None:
-        if self._decision_level() <= level:
+        """Backtrack to ``level``: unassign, save phases, refill the heap.
+
+        The phase is saved here rather than on assignment: a variable's
+        polarity when it is unassigned is the one it was assigned with, and
+        the saved phase is only read for unassigned variables.
+        """
+        trail_lim = self._trail_lim
+        if len(trail_lim) <= level:
             return
-        bound = self._trail_lim[level]
+        trail = self._trail
+        bound = trail_lim[level]
+        values, reason, phase = self._values, self._reason, self._phase
         order = self._order
-        for index in range(len(self._trail) - 1, bound - 1, -1):
-            var = abs(self._trail[index])
-            self._assign[var] = 0
-            self._reason[var] = None
-            order.insert(var)
-        del self._trail[bound:]
-        del self._trail_lim[level:]
-        self._qhead = len(self._trail)
+        heap, position, activity = order._heap, order._position, order._activity
+        for index in range(len(trail) - 1, bound - 1, -1):
+            literal = trail[index]
+            values[literal] = 0
+            values[-literal] = 0
+            if literal > 0:
+                var = literal
+                phase[var] = True
+            else:
+                var = -literal
+                phase[var] = False
+            reason[var] = None
+            if position[var] < 0:
+                # Re-insert into the heap: append, then sift up.
+                score = activity[var]
+                child = len(heap)
+                heap.append(var)
+                while child > 0:
+                    parent = (child - 1) >> 1
+                    above = heap[parent]
+                    if activity[above] >= score:
+                        break
+                    heap[child] = above
+                    position[above] = child
+                    child = parent
+                heap[child] = var
+                position[var] = child
+        del trail[bound:]
+        del trail_lim[level:]
+        self._qhead = len(trail)
 
     def _attach(self, clause: _Clause) -> None:
         lits = clause.lits
-        watchers = self._watches[self._watch_index(lits[0])]
+        watchers = self._watches[lits[0]]
         watchers.append(lits[1])
         watchers.append(clause)
-        watchers = self._watches[self._watch_index(lits[1])]
+        watchers = self._watches[lits[1]]
         watchers.append(lits[0])
         watchers.append(clause)
 
     def _detach(self, clause: _Clause) -> None:
         for literal in clause.lits[:2]:
-            watchers = self._watches[self._watch_index(literal)]
+            watchers = self._watches[literal]
             for index in range(1, len(watchers), 2):
                 if watchers[index] is clause:
                     del watchers[index - 1 : index + 1]
@@ -447,42 +492,59 @@ class Solver(ClauseSink):
         Watch lists are flat interleaved ``blocker, clause`` arrays: a true
         blocker satisfies the clause without touching it, and entries whose
         clause was logically deleted (``removed``) are purged in passing.
+        Assignment and the propagation counter are inlined; the counter
+        (literals dequeued) reaches ``stats`` once per call.
         """
-        stats = self.stats
-        while self._qhead < len(self._trail):
-            literal = self._trail[self._qhead]
-            self._qhead += 1
-            stats.propagations += 1
-            false_literal = -literal
-            watchers = self._watches[self._watch_index(false_literal)]
+        trail = self._trail
+        qhead = self._qhead
+        if qhead >= len(trail):
+            return None
+        start = qhead
+        values = self._values
+        watches = self._watches
+        level = self._level
+        reason = self._reason
+        push = trail.append
+        decision_level = len(self._trail_lim)
+        conflict = None
+        while qhead < len(trail):
+            false_literal = -trail[qhead]
+            qhead += 1
+            watchers = watches[false_literal]
             index = 0
             kept = 0
             size = len(watchers)
             while index < size:
                 blocker = watchers[index]
+                if values[blocker] == 1:
+                    if kept != index:
+                        watchers[kept] = blocker
+                        watchers[kept + 1] = watchers[index + 1]
+                    kept += 2
+                    index += 2
+                    continue
                 clause = watchers[index + 1]
                 index += 2
-                if self._value(blocker) == 1:
-                    watchers[kept] = blocker
-                    watchers[kept + 1] = clause
-                    kept += 2
-                    continue
                 if clause.removed:
                     continue  # lazy purge of deleted clauses
                 lits = clause.lits
                 # Normalise: the false literal sits at position 1.
-                if lits[0] == false_literal:
-                    lits[0], lits[1] = lits[1], lits[0]
                 first = lits[0]
-                if first != blocker and self._value(first) == 1:
+                if first == false_literal:
+                    first = lits[1]
+                    lits[0] = first
+                    lits[1] = false_literal
+                if first != blocker and values[first] == 1:
                     watchers[kept] = first
                     watchers[kept + 1] = clause
                     kept += 2
                     continue
                 for position in range(2, len(lits)):
-                    if self._value(lits[position]) != -1:
-                        lits[1], lits[position] = lits[position], lits[1]
-                        moved = self._watches[self._watch_index(lits[1])]
+                    other = lits[position]
+                    if values[other] != -1:
+                        lits[1] = other
+                        lits[position] = false_literal
+                        moved = watches[other]
                         moved.append(first)
                         moved.append(clause)
                         break
@@ -490,7 +552,7 @@ class Solver(ClauseSink):
                     watchers[kept] = first
                     watchers[kept + 1] = clause
                     kept += 2
-                    if self._value(first) == -1:
+                    if values[first] == -1:
                         # Conflict: keep the unvisited suffix watched, too.
                         while index < size:
                             watchers[kept] = watchers[index]
@@ -498,21 +560,31 @@ class Solver(ClauseSink):
                             kept += 2
                             index += 2
                         del watchers[kept:]
-                        self._qhead = len(self._trail)
-                        return clause
-                    self._enqueue(first, clause)
-            del watchers[kept:]
-        return None
+                        conflict = clause
+                        break
+                    # Inline _enqueue(first, clause).
+                    values[first] = 1
+                    values[-first] = -1
+                    var = first if first > 0 else -first
+                    level[var] = decision_level
+                    reason[var] = clause
+                    push(first)
+            else:
+                del watchers[kept:]
+                continue
+            break
+        self.stats.propagations += qhead - start
+        self._qhead = len(trail)
+        return conflict
 
     # -- activities ---------------------------------------------------------------
 
-    def _var_bump(self, var: int) -> None:
-        self._activity[var] += self._var_inc
-        if self._activity[var] > self._RESCALE_LIMIT:
-            for index in range(1, self._num_vars + 1):
-                self._activity[index] *= 1e-100
-            self._var_inc *= 1e-100
-        self._order.bump(var)
+    def _rescale_activity(self) -> None:
+        """Scale every activity (and the increment) down by ``1e-100``."""
+        activity = self._activity
+        for index in range(1, self._num_vars + 1):
+            activity[index] *= 1e-100
+        self._var_inc *= 1e-100
 
     def _var_decay_tick(self) -> None:
         self._var_inc /= self._var_decay
@@ -532,7 +604,9 @@ class Solver(ClauseSink):
     def _clause_lbd(self, lits: Sequence[int]) -> int:
         """The literal-block distance: distinct decision levels spanned."""
         level = self._level
-        return len({level[abs(literal)] for literal in lits if level[abs(literal)] > 0})
+        levels = {level[literal if literal > 0 else -literal] for literal in lits}
+        levels.discard(0)
+        return len(levels)
 
     def _analyze(self, conflict: _Clause) -> Tuple[List[int], int, int]:
         """First-UIP learning; returns ``(learnt_clause, backjump_level, lbd)``.
@@ -543,11 +617,19 @@ class Solver(ClauseSink):
         graph), and its LBD is measured before backjumping while the levels
         are still live.  Learnt clauses revisited on the resolution path get
         their stored LBD lowered when the re-measure comes out smaller.
+        The VSIDS bump (activity increment, rescale check, heap sift-up)
+        is inlined per literal.
         """
         seen = self._seen
         level = self._level
+        reason = self._reason
         trail = self._trail
-        current_level = self._decision_level()
+        activity = self._activity
+        order = self._order
+        heap, position = order._heap, order._position
+        var_inc = self._var_inc
+        rescale_limit = self._RESCALE_LIMIT
+        current_level = len(self._trail_lim)
         learnt: List[int] = [0]  # placeholder for the asserting literal
         to_clear: List[int] = []
         path_count = 0
@@ -556,30 +638,50 @@ class Solver(ClauseSink):
         clause: Optional[_Clause] = conflict
         while True:
             assert clause is not None
+            lits = clause.lits
             if clause.learnt:
                 self._cla_bump(clause)
-                fresh_lbd = self._clause_lbd(clause.lits)
+                fresh_lbd = self._clause_lbd(lits)
                 if 0 < fresh_lbd < clause.lbd:
                     clause.lbd = fresh_lbd
-            start = 0 if literal == 0 else 1
-            for position in range(start, len(clause.lits)):
-                other = clause.lits[position]
-                var = abs(other)
-                if not seen[var] and level[var] > 0:
+            for other in lits if literal == 0 else lits[1:]:
+                var = other if other > 0 else -other
+                if seen[var]:
+                    continue
+                var_level = level[var]
+                if var_level > 0:
                     seen[var] = True
                     to_clear.append(var)
-                    self._var_bump(var)
-                    if level[var] >= current_level:
+                    score = activity[var] + var_inc
+                    activity[var] = score
+                    if score > rescale_limit:
+                        self._rescale_activity()
+                        var_inc = self._var_inc
+                        score = activity[var]
+                    child = position[var]
+                    if child >= 0:
+                        # Restore the heap order: sift the bumped var up.
+                        while child > 0:
+                            parent = (child - 1) >> 1
+                            above = heap[parent]
+                            if activity[above] >= score:
+                                break
+                            heap[child] = above
+                            position[above] = child
+                            child = parent
+                        heap[child] = var
+                        position[var] = child
+                    if var_level >= current_level:
                         path_count += 1
                     else:
                         learnt.append(other)
             while True:
                 index -= 1
-                if seen[abs(trail[index])]:
+                literal = trail[index]
+                var = literal if literal > 0 else -literal
+                if seen[var]:
                     break
-            literal = trail[index]
-            var = abs(literal)
-            clause = self._reason[var]
+            clause = reason[var]
             seen[var] = False
             path_count -= 1
             if path_count == 0:
@@ -590,12 +692,13 @@ class Solver(ClauseSink):
         # fixed at level 0).
         kept = [learnt[0]]
         for other in learnt[1:]:
-            reason = self._reason[abs(other)]
-            if reason is None:
+            var = other if other > 0 else -other
+            antecedent = reason[var]
+            if antecedent is None:
                 kept.append(other)
                 continue
-            for reason_literal in reason.lits:
-                var = abs(reason_literal)
+            for reason_literal in antecedent.lits:
+                var = reason_literal if reason_literal > 0 else -reason_literal
                 if reason_literal != -other and not seen[var] and level[var] > 0:
                     kept.append(other)
                     break
@@ -607,11 +710,14 @@ class Solver(ClauseSink):
             return learnt, 0, lbd
         # Backjump to the second-highest level; put that literal at watch 1.
         best = 1
-        for position in range(2, len(learnt)):
-            if level[abs(learnt[position])] > level[abs(learnt[best])]:
-                best = position
+        best_level = level[abs(learnt[1])]
+        for position_in_learnt in range(2, len(learnt)):
+            candidate_level = level[abs(learnt[position_in_learnt])]
+            if candidate_level > best_level:
+                best = position_in_learnt
+                best_level = candidate_level
         learnt[1], learnt[best] = learnt[best], learnt[1]
-        return learnt, level[abs(learnt[1])], lbd
+        return learnt, best_level, lbd
 
     def _analyze_final(self, failing: int) -> FrozenSet[int]:
         """The subset of the assumptions that forced ``¬failing`` (MiniSat's
@@ -683,11 +789,12 @@ class Solver(ClauseSink):
 
     def _pick_branch_literal(self) -> Optional[int]:
         order = self._order
+        values = self._values
         while True:
             var = order.pop()
             if var is None:
                 return None
-            if self._assign[var] == 0:
+            if values[var] == 0:
                 return var if self._phase[var] else -var
 
     def _record_learnt(self, learnt: List[int], lbd: int, promote: bool = False) -> None:
@@ -757,7 +864,7 @@ class Solver(ClauseSink):
             literal: Optional[int] = None
             while self._decision_level() < len(assumptions):
                 assumption = assumptions[self._decision_level()]
-                value = self._value(assumption)
+                value = self._values[assumption]
                 if value == 1:
                     self._trail_lim.append(len(self._trail))  # dummy level
                 elif value == -1:
@@ -769,9 +876,9 @@ class Solver(ClauseSink):
             if literal is None:
                 literal = self._pick_branch_literal()
                 if literal is None:
-                    self._model = {
-                        var: self._assign[var] > 0 for var in range(1, self._num_vars + 1)
-                    }
+                    # Every variable is assigned here (the heap ran dry).
+                    self._model = self._values[:]
+                    self._model_vars = self._num_vars
                     return True
                 self.stats.decisions += 1
             self._trail_lim.append(len(self._trail))
@@ -810,7 +917,7 @@ class Solver(ClauseSink):
                 raise SatError("0 is not a literal")
             self._ensure_var(abs(literal))
         self.stats.solve_calls += 1
-        self._model = {}  # a stale model must not survive an UNSAT answer
+        self._model = None  # a stale model must not survive an UNSAT answer
         self._conflict_core = None
         self._cancel_until(0)
         if not self._ok:
@@ -921,6 +1028,7 @@ class Solver(ClauseSink):
         watched literal (the watch invariant), so stripping only touches
         positions ≥ 2 and the watches stay valid.
         """
+        values = self._values
         for store in (self._clauses, self._learnts):
             for clause in store:
                 if clause.removed:
@@ -929,7 +1037,7 @@ class Solver(ClauseSink):
                 satisfied = False
                 has_false = False
                 for literal in lits:
-                    value = self._value(literal)
+                    value = values[literal]
                     if value == 1:
                         satisfied = True
                         break
@@ -943,7 +1051,7 @@ class Solver(ClauseSink):
                 if has_false:
                     original = list(lits) if self._proof is not None else None
                     lits[2:] = [
-                        literal for literal in lits[2:] if self._value(literal) != -1
+                        literal for literal in lits[2:] if values[literal] != -1
                     ]
                     if original is not None and len(lits) < len(original):
                         self._proof.add(lits)
@@ -1034,8 +1142,9 @@ class Solver(ClauseSink):
 
     def _readd(self, lits: List[int], learnt: bool, lbd: int) -> bool:
         """Attach a rewritten clause (after strengthening or vivification)."""
-        lits = [literal for literal in lits if self._value(literal) != -1]
-        if any(self._value(literal) == 1 for literal in lits):
+        values = self._values
+        lits = [literal for literal in lits if values[literal] != -1]
+        if any(values[literal] == 1 for literal in lits):
             return True
         if self._proof is not None:
             self._proof.add(lits)
@@ -1076,20 +1185,21 @@ class Solver(ClauseSink):
             for clause in store
             if not clause.removed and 3 <= len(clause.lits) <= self._VIVIFY_LENGTH_LIMIT
         ]
+        values = self._values
         for clause in candidates[: self._VIVIFY_CLAUSE_LIMIT]:
             if clause.removed:
                 continue
-            if any(self._value(literal) == 1 for literal in clause.lits):
+            if any(values[literal] == 1 for literal in clause.lits):
                 clause.removed = True
                 if self._proof is not None:
                     self._proof.delete(clause.lits)
                 continue
-            lits = [literal for literal in clause.lits if self._value(literal) == 0]
+            lits = [literal for literal in clause.lits if values[literal] == 0]
             clause.removed = True  # detached: the probe must not use the clause itself
             shortened: List[int] = []
             conflicted = False
             for literal in lits:
-                value = self._value(literal)
+                value = values[literal]
                 if value == 1:
                     # The negated prefix already implies this literal.
                     shortened.append(literal)
@@ -1118,18 +1228,19 @@ class Solver(ClauseSink):
 
     def model_value(self, literal: int) -> bool:
         """The last model's value of ``literal`` (only valid after a SAT answer)."""
-        if not self._model:
+        model = self._model
+        if model is None:
             raise SatError("no model available; the last solve() did not return SAT")
-        value = self._model.get(abs(literal))
-        if value is None:
+        if not 0 < abs(literal) <= self._model_vars:
             raise SatError("variable %d was not part of the last model" % abs(literal))
-        return (not value) if literal < 0 else value
+        return model[literal] == 1
 
     def model(self) -> Dict[int, bool]:
         """The last model as a ``{variable: truth value}`` dictionary."""
-        if not self._model:
+        model = self._model
+        if model is None:
             raise SatError("no model available; the last solve() did not return SAT")
-        return dict(self._model)
+        return {var: model[var] == 1 for var in range(1, self._model_vars + 1)}
 
     # -- introspection ---------------------------------------------------------------
 

@@ -174,8 +174,16 @@ class TestSATAudit:
 
     def test_detects_phantom_assignment(self):
         solver = _solved_solver()
-        solver._assign[1] = 1  # assigned, but never pushed on the trail
+        assert solver._values[1] == 0
+        solver._values[1] = 1  # assigned, but never pushed on the trail
+        solver._values[-1] = -1
         with pytest.raises(SanitizerError, match="missing from the trail"):
+            check_solver(solver)
+
+    def test_detects_literal_disagreeing_with_its_negation(self):
+        solver = _solved_solver()
+        solver._values[-1] = solver._values[1] = 1  # x and ¬x both true
+        with pytest.raises(SanitizerError, match="negation of its mirror"):
             check_solver(solver)
 
     def test_detects_corrupt_blocker(self):
@@ -204,8 +212,19 @@ class TestSATAudit:
         solver.add_clause([1, 2])
         heap = solver._order._heap
         if len(heap) >= 2:
-            heap[0], heap[1] = heap[1], heap[0]  # heap moved, position map stale
+            heap[0], heap[1] = heap[1], heap[0]  # heap moved, position list stale
         with pytest.raises(SanitizerError, match="VSIDS"):
+            check_solver(solver)
+
+    def test_detects_heap_position_of_var_outside_the_heap(self):
+        solver = Solver()
+        for _ in range(6):
+            solver.new_var()
+        solver._order.pop()  # var leaves the heap, its position becomes -1
+        assert solver._order._position.count(-1) == 2  # slot 0 and the popped var
+        popped = solver._order._position.index(-1, 1)
+        solver._order._position[popped] = 0  # claims the root it does not hold
+        with pytest.raises(SanitizerError, match="must sit at -1"):
             check_solver(solver)
 
     def test_detects_implausible_lbd(self):

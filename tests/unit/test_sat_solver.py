@@ -118,6 +118,45 @@ def test_model_unavailable_before_sat():
         solver.model_value(v)
 
 
+def test_empty_model_after_sat_on_variable_free_database():
+    """SAT with no variables has an empty model, not a missing one."""
+    solver = Solver()
+    assert solver.solve()
+    assert solver.model() == {}
+    with pytest.raises(SatError, match="not part of the last model"):
+        solver.model_value(1)
+
+
+def test_model_predates_later_variables():
+    """A variable allocated after the SAT answer is not in its model."""
+    solver = Solver()
+    a = solver.new_var()
+    solver.add_clause([-a])
+    assert solver.solve()
+    later = solver.new_var()
+    assert solver.model() == {a: False}
+    assert solver.model_value(-a)
+    with pytest.raises(SatError, match="not part of the last model"):
+        solver.model_value(later)
+
+
+def test_literal_indexed_lists_survive_regrowth():
+    """Values and watches keep each literal's slot as the lists double."""
+    solver = Solver()
+    variables = [solver.new_var() for _ in range(3)]
+    solver.add_clause([-variables[0], variables[1]])
+    solver.add_clause([-variables[1], -variables[2], variables[0]])
+    assert solver.solve(assumptions=[variables[0]])
+    for _ in range(100):  # several doublings of the literal-indexed lists
+        variables.append(solver.new_var())
+    solver.add_clause([-variables[1], variables[-1]])
+    solver.add_clause([-variables[-1], variables[-2]])
+    assert solver.solve(assumptions=[variables[0]])
+    assert solver.model_value(variables[-1]) and solver.model_value(variables[-2])
+    assert not solver.solve(assumptions=[variables[0], -variables[-2]])
+    assert solver.unsat_core() <= {variables[0], -variables[-2]}
+
+
 def test_stale_model_cleared_on_unsat():
     """An UNSAT answer must invalidate the model of an earlier SAT call."""
     solver = Solver()
