@@ -559,7 +559,6 @@ class Solver(ClauseSink):
                             watchers[kept + 1] = watchers[index + 1]
                             kept += 2
                             index += 2
-                        del watchers[kept:]
                         conflict = clause
                         break
                     # Inline _enqueue(first, clause).
@@ -569,10 +568,9 @@ class Solver(ClauseSink):
                     level[var] = decision_level
                     reason[var] = clause
                     push(first)
-            else:
-                del watchers[kept:]
-                continue
-            break
+            del watchers[kept:]
+            if conflict is not None:
+                break
         self.stats.propagations += qhead - start
         self._qhead = len(trail)
         return conflict
