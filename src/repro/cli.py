@@ -13,7 +13,7 @@ a small results table::
 ``--system`` picks the process family: the Section 5 token ``ring`` (the
 default, checked against the paper's properties and invariants), the
 lock-based ``mutex`` protocol, or the saturating ripple ``counter``.  The
-engine choices come from :data:`repro.mc.bitset.ENGINE_NAMES`
+engine choices come from :data:`repro.mc.registry.ENGINE_NAMES`
 (``docs/ENGINES.md`` is the when-to-use-which guide).  With ``--engine bdd``
 the system is encoded *directly* as binary decision diagrams (the explicit
 global state graph is never built), so sizes well beyond the explicit
@@ -58,10 +58,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.analysis.timing import timed_call
-from repro.mc.bitset import ENGINE_NAMES
+from repro.mc.registry import ENGINE_NAMES
 
 __all__ = ["main", "build_parser"]
 
@@ -70,6 +70,16 @@ SYSTEM_NAMES = ("ring", "mutex", "counter")
 
 #: The engines that reject fairness-constrained semantics (SAT-based).
 _SAT_ENGINES = ("bmc", "ic3")
+
+#: How each check outcome reads in the verdict column of the results table.
+_OUTCOME_WORDS = {
+    "holds": "True",
+    "violated": "False",
+    "skipped": "skipped",
+    "inconclusive": "INCONCLUSIVE",
+    "exhausted": "BUDGET EXHAUSTED",
+    "crashed": "CRASHED",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -420,12 +430,9 @@ def _run_check(
     print("  build       : %.4fs" % built.seconds, file=out)
     print("", file=out)
     print("  %-34s %-8s %s" % ("check", "verdict", "seconds"), file=out)
-    all_hold = True
-    skipped = []
-    inconclusive = []
-    exhausted = []
-    crashed = []
-    phases = [{"name": "build", "seconds": built.seconds}]
+    # One profile phase per attempted check, decided or not: name, outcome
+    # (a key of _OUTCOME_WORDS), seconds and detail.
+    checks: List[Dict] = []
     # For the in-process engines a budget is enforced at their cooperative
     # checkpoints; the portfolio hands it to the workers instead.
     budget_scope = contextlib.nullcontext()
@@ -435,52 +442,44 @@ def _run_check(
         if budget.memory_bytes is not None:
             _limits.apply_memory_limit(budget.memory_bytes)
         budget_scope = _limits.active(budget)
+
+    def check(formula):
+        """Decide ``formula`` into ``(outcome, detail)``, undecided outcomes included.
+
+        Named ``check`` so that ``timed_call`` still records a ``timed.check`` span.
+        """
+        try:
+            verdict = checker.check(formula)
+        except FragmentError:
+            return "skipped", "outside the %s fragment" % engine
+        except InconclusiveError:
+            return "inconclusive", "raise --bound"
+        except BudgetExceededError as error:
+            return "exhausted", error.resource
+        except EngineCrashError as error:
+            return "crashed", str(error)
+        detail = checker.last_detail if engine in _SAT_ENGINES + ("portfolio",) else ""
+        return ("holds" if verdict else "violated"), detail
+
     with budget_scope:
         for name, formula in family.items():
-            try:
-                checked = timed_call(checker.check, formula)
-            except FragmentError:
-                skipped.append(name)
-                continue
-            except InconclusiveError:
-                # Like a fragment skip: the engine could not decide, which is
-                # not a violation — the exit code only reflects what was
-                # decided.
-                inconclusive.append(name)
-                continue
-            except BudgetExceededError as error:
-                exhausted.append((name, error))
-                continue
-            except EngineCrashError as error:
-                crashed.append((name, error))
-                continue
-            all_hold = all_hold and checked.value
-            phases.append({"name": "check %s" % name, "seconds": checked.seconds})
-            verdict = str(checked.value)
-            if engine in _SAT_ENGINES and checker.last_detail:
-                verdict = "%s (%s)" % (checked.value, checker.last_detail)
-            elif engine == "portfolio" and checker.last_detail:
-                verdict = "%s (%s)" % (checked.value, checker.last_detail)
-            print("  %-34s %-8s %.4f" % (name, verdict, checked.seconds), file=out)
-    for name in skipped:
-        print(
-            "  %-34s %-8s" % (name, "skipped (outside the %s fragment)" % engine),
-            file=out,
-        )
-    for name in inconclusive:
-        print("  %-34s %-8s" % (name, "INCONCLUSIVE (raise --bound)"), file=out)
-    for name, error in exhausted:
-        print(
-            "  %-34s %-8s" % (name, "BUDGET EXHAUSTED (%s)" % error.resource),
-            file=out,
-        )
-    for name, error in crashed:
-        print("  %-34s %-8s" % (name, "CRASHED (%s)" % error), file=out)
+            attempt = timed_call(check, formula)
+            outcome, detail = attempt.value
+            seconds = attempt.seconds
+            checks.append(
+                dict(name="check " + name, outcome=outcome, seconds=seconds, detail=detail)
+            )
+            word = _OUTCOME_WORDS[outcome]
+            if detail:
+                word = "%s (%s)" % (word, detail)
+            print("  %-34s %-8s %.4f" % (name, word, seconds), file=out)
     print("", file=out)
+    # Only decided verdicts affect the exit code.
+    all_hold = all(record["outcome"] != "violated" for record in checks)
     checked_what = (
-        "checked properties and invariants"
-        if skipped or inconclusive or exhausted or crashed
-        else "all properties and invariants"
+        "all properties and invariants"
+        if all(record["outcome"] in ("holds", "violated") for record in checks)
+        else "checked properties and invariants"
     )
     if all_hold:
         print("  %s hold on %s" % (checked_what, label), file=out)
@@ -491,6 +490,7 @@ def _run_check(
 
         from repro.obs.metrics import REGISTRY
 
+        phases = [{"name": "build", "seconds": built.seconds}] + checks
         payload = {
             "schema": "repro.profile/v2",
             "mode": "check",

@@ -61,13 +61,13 @@ class Finding:
 
 
 def _default_engine_names() -> Tuple[str, ...]:
-    from repro.mc.bitset import ENGINE_NAMES
+    from repro.mc.registry import ENGINE_NAMES
 
     return tuple(ENGINE_NAMES)
 
 
 def _default_ctl_engines() -> Tuple[str, ...]:
-    from repro.mc.bitset import CTL_ENGINES
+    from repro.mc.registry import CTL_ENGINES
 
     return tuple(CTL_ENGINES)
 

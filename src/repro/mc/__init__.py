@@ -1,4 +1,4 @@
-"""Model checkers: CTL (the :data:`~repro.mc.bitset.ENGINE_NAMES` registry —
+"""Model checkers: CTL (the :data:`~repro.mc.registry.ENGINE_NAMES` registry —
 the naive/bitset/BDD fixpoint engines with optional fairness-constrained
 semantics, plus the two SAT-based engines: bounded model checking with
 k-induction and the unbounded IC3/PDR prover), existential LTL, CTL*, and
@@ -17,12 +17,7 @@ from repro.mc.counterexample import (
 )
 from repro.mc.fairness import FairnessConstraint, normalize_fairness
 from repro.mc.scc import strongly_connected_components
-from repro.mc.bitset import (
-    CTL_ENGINES,
-    ENGINE_NAMES,
-    BitsetCTLModelChecker,
-    make_ctl_checker,
-)
+from repro.mc.bitset import BitsetCTLModelChecker
 from repro.mc.bitset import check as check_ctl_bitset
 from repro.mc.bitset import satisfaction_set as bitset_satisfaction_set
 from repro.mc.ctl import CTLModelChecker
@@ -39,6 +34,7 @@ from repro.mc.ltl import exists_path_satisfying, existential_states
 from repro.mc.symbolic import SymbolicCTLModelChecker
 from repro.mc.symbolic import check as check_ctl_symbolic
 from repro.mc.symbolic import satisfaction_set as symbolic_satisfaction_set
+from repro.mc.registry import CTL_ENGINES, ENGINE_NAMES, make_ctl_checker
 from repro.mc.oracle import (
     crosscheck_ctl_engines,
     find_lasso_witness,

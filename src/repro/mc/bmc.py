@@ -49,7 +49,7 @@ structures that know their index set are handled by recursion and
 instantiation, so the Section 5 invariant family runs unchanged.  Fairness
 constraints and nested/ branching-time operators outside the fragment raise
 :class:`~repro.errors.FragmentError` — the three fixpoint engines
-(:data:`repro.mc.bitset.CTL_ENGINES`) remain the decision procedures for
+(:data:`repro.mc.registry.CTL_ENGINES`) remain the decision procedures for
 full CTL.
 """
 

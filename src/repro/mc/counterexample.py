@@ -13,10 +13,10 @@ state is supplied.
 
 The extraction is **engine-generic**: every function accepts either a Kripke
 structure (a checker for the requested ``engine`` is built through
-:func:`repro.mc.bitset.make_ctl_checker` and memoised on the structure, so
+:func:`repro.mc.registry.make_ctl_checker` and memoised on the structure, so
 repeated extractions share one compilation *and* one satisfaction-set memo)
 or an already-constructed CTL checker (any of
-:data:`repro.mc.bitset.CTL_ENGINES` — whatever produced the failed verdict
+:data:`repro.mc.registry.CTL_ENGINES` — whatever produced the failed verdict
 also guides the search, so witness extraction is no slower than the check
 itself; the SAT-based ``"bmc"`` engine extracts its own counterexamples as
 part of solving).
@@ -37,11 +37,11 @@ from repro.errors import ModelCheckingError
 from repro.kripke.paths import Lasso
 from repro.kripke.structure import KripkeStructure, State
 from repro.logic.ast import Exists, Formula, Globally, Not, TrueLiteral, Until
-from repro.mc.bitset import BitsetCTLModelChecker, make_ctl_checker
 from repro.mc.ctl import CTLModelChecker
 from repro.mc.fairness import FairnessConstraint, normalize_fairness
+from repro.mc.fixpoint import FixpointCTLChecker
+from repro.mc.registry import make_ctl_checker
 from repro.mc.scc import fair_components
-from repro.mc.symbolic import SymbolicCTLModelChecker
 
 __all__ = [
     "resolve_checker",
@@ -52,15 +52,14 @@ __all__ = [
     "counterexample_af",
 ]
 
-_CHECKERS = (CTLModelChecker, BitsetCTLModelChecker, SymbolicCTLModelChecker)
+_CHECKERS = (CTLModelChecker, FixpointCTLChecker)
 
 #: Attribute on which per-structure checkers are memoised, keyed by
 #: ``(engine, fairness)`` — mirrors how ``compile_structure`` memoises the
 #: compiled form on the structure so the memo's lifetime is the structure's.
 _MEMO_ATTR = "_witness_checker_memo"
 
-CheckerOrStructure = Union[KripkeStructure, CTLModelChecker, BitsetCTLModelChecker,
-                           SymbolicCTLModelChecker]
+CheckerOrStructure = Union[KripkeStructure, CTLModelChecker, FixpointCTLChecker]
 
 
 def resolve_checker(
@@ -72,7 +71,7 @@ def resolve_checker(
 
     A checker passes through unchanged (its own engine and fairness
     constraint win).  A structure gets a checker from
-    :func:`~repro.mc.bitset.make_ctl_checker`, memoised on the structure per
+    :func:`~repro.mc.registry.make_ctl_checker`, memoised on the structure per
     ``(engine, fairness)`` pair — so a sequence of witness calls against the
     same structure shares one compiled form and one satisfaction-set memo.
     """

@@ -19,7 +19,7 @@ experiment does exactly this to demonstrate the problem).
 
 Formulas whose instantiation lands in plain CTL — every property the paper
 actually checks — are dispatched to an engine selected by the ``engine``
-parameter, any name from :data:`repro.mc.bitset.ENGINE_NAMES` (the registry
+parameter, any name from :data:`repro.mc.registry.ENGINE_NAMES` (the registry
 documented engine-by-engine in ``docs/ENGINES.md``).  The fixpoint engines
 (``"bitset"``, ``"naive"``, ``"bdd"``) compute satisfaction sets and decide
 full CTL; the SAT-based engines (``"bmc"``, ``"ic3"``) expose
@@ -49,7 +49,7 @@ from repro.logic.syntax import (
     is_state_formula,
 )
 from repro.logic.transform import free_index_variables, instantiate_quantifiers
-from repro.mc.bitset import make_ctl_checker
+from repro.mc.registry import make_ctl_checker
 from repro.mc.ctlstar import CTLStarModelChecker
 from repro.mc.fairness import FairnessConstraint, normalize_fairness
 
@@ -91,7 +91,7 @@ class ICTLStarModelChecker:
 
     @property
     def engine(self) -> str:
-        """The engine in use (one of :data:`repro.mc.bitset.ENGINE_NAMES`)."""
+        """The engine in use (one of :data:`repro.mc.registry.ENGINE_NAMES`)."""
         return self._engine
 
     @property

@@ -16,7 +16,7 @@ original per-state label-set lookups; ``engine="bdd"`` reads them off the
 symbolic encoding's per-proposition BDDs.  The module also hosts
 :func:`crosscheck_ctl_engines`, the differential-testing entry point that
 replays a CTL formula through every satisfaction-set engine
-(:data:`repro.mc.bitset.CTL_ENGINES`) and insists on identical satisfaction
+(:data:`repro.mc.registry.CTL_ENGINES`) and insists on identical satisfaction
 sets.  The verdict-only SAT engines (``"bmc"``, ``"ic3"``) are outside
 ``CTL_ENGINES`` and get their own differential suites
 (``tests/property/test_property_bmc.py`` / ``test_property_ic3.py``); see
@@ -47,7 +47,7 @@ from repro.logic.ast import (
 )
 from repro.logic.syntax import is_ltl_path_formula
 from repro.logic.transform import expand
-from repro.mc.bitset import CTL_ENGINES, make_ctl_checker
+from repro.mc.registry import CTL_ENGINES, make_ctl_checker
 from repro.mc.ltl import AtomEval
 
 __all__ = [
@@ -198,7 +198,7 @@ def crosscheck_ctl_engines(
 ):
     """Differential test: run ``formula`` through every CTL engine and compare.
 
-    Replays the formula through all of :data:`repro.mc.bitset.CTL_ENGINES` —
+    Replays the formula through all of :data:`repro.mc.registry.CTL_ENGINES` —
     the compiled bitset engine, the naive frozenset oracle, and the symbolic
     BDD engine — and insists on identical satisfaction sets.  Returns the
     common satisfaction set; raises

@@ -27,15 +27,19 @@ with the cheapest set that makes progress:
 Under a :class:`~repro.mc.fairness.FairnessConstraint` the fair ``EG`` is
 the Emerson–Lei nested μ/ν fixpoint
 
-    ``νZ. f ∧ ⋀_i EX E[f U (Z ∧ F_i)]``
+    ``νZ. f ∧ ⋀_i EX E[Z U (Z ∧ F_i)]``
 
-— one inner (frontier) ``EU`` round per fairness condition ``F_i`` per outer
-iteration — and ``EX``/``EU`` targets are conjoined with the fair states
-(``fair = fair-EG true``).  This is the one fair-``EG`` formulation that
-never enumerates states, so fairness-constrained liveness stays checkable on
-ring sizes only the symbolic encoding reaches.
+— one inner (frontier) ``EU`` round, confined to the current ``Z``, per
+fairness condition ``F_i`` per outer iteration — and ``EX``/``EU`` targets
+are conjoined with the fair states (``fair = fair-EG true``).  This is the
+one fair-``EG`` formulation that never enumerates states, so
+fairness-constrained liveness stays checkable on ring sizes only the
+symbolic encoding reaches.
 
-Every memoised satisfaction set is held through a reference-counted
+The labelling recursion, the memo and the fairness plumbing are the shared
+:class:`repro.mc.fixpoint.FixpointCTLChecker`; this module supplies only the
+BDD-handle representation and the fixpoints above.  Every memoised
+satisfaction set is held through a reference-counted
 :class:`~repro.bdd.BDDFunction` handle, as is all fixpoint state, so the
 manager's garbage collector and dynamic reordering can run at any operation
 boundary without invalidating a checker.
@@ -49,51 +53,26 @@ properties can be checked directly against the symbolic ring.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple, Union
+from typing import FrozenSet, Iterable, Optional, Union
 
 from repro.bdd import BDDFunction
-from repro.errors import FragmentError, ValidationError
+from repro.errors import ValidationError
 from repro.kripke.structure import KripkeStructure, State
 from repro.kripke.symbolic import SymbolicKripkeStructure, symbolic_structure
 from repro.kripke.validation import assert_total
-from repro.mc.fairness import FairnessConstraint, normalize_fairness
+from repro.logic.ast import Formula
+from repro.mc.fairness import FairnessConstraint
+from repro.mc.fixpoint import FixpointCTLChecker
 from repro.obs import metrics as _metrics
 from repro.obs.progress import heartbeat as _heartbeat
 from repro.obs.trace import is_enabled as _tracing
 from repro.obs.trace import span as _span
 from repro.runtime.limits import checkpoint as _checkpoint
-from repro.logic.ast import (
-    And,
-    Atom,
-    ExactlyOne,
-    Exists,
-    FalseLiteral,
-    Finally,
-    ForAll,
-    Formula,
-    Globally,
-    Iff,
-    Implies,
-    IndexExists,
-    IndexForall,
-    IndexedAtom,
-    Next,
-    Not,
-    Or,
-    Release,
-    TrueLiteral,
-    Until,
-    WeakUntil,
-    walk,
-)
-from repro.logic.transform import instantiate_quantifiers
 
 __all__ = ["SymbolicCTLModelChecker", "satisfaction_set", "check"]
 
-_ATOMIC = (TrueLiteral, FalseLiteral, Atom, IndexedAtom, ExactlyOne)
 
-
-class SymbolicCTLModelChecker:
+class SymbolicCTLModelChecker(FixpointCTLChecker):
     """Fixpoint CTL model checker running on binary decision diagrams.
 
     Accepts either a plain :class:`KripkeStructure` (encoded on the spot,
@@ -109,227 +88,66 @@ class SymbolicCTLModelChecker:
         validate_structure: bool = True,
         fairness: Optional[FairnessConstraint] = None,
     ) -> None:
-        self._symbolic = symbolic_structure(structure)
-        if validate_structure and not self._symbolic.is_total():
-            source = self._symbolic.source
-            if source is not None:
-                assert_total(source)
+        symbolic = symbolic_structure(structure)
+        if validate_structure and not symbolic.is_total():
+            if symbolic.source is not None:
+                assert_total(symbolic.source)
             raise ValidationError(
                 "the symbolic transition relation is not total on its state set"
             )
-        self._fairness = normalize_fairness(fairness)
-        self._cache: Dict[Formula, BDDFunction] = {}
-        self._fair_condition_fns: Optional[Tuple[BDDFunction, ...]] = None
-        self._fair_states_fn: Optional[BDDFunction] = None
-
-    @property
-    def fairness(self) -> Optional[FairnessConstraint]:
-        """The fairness constraint the path quantifiers respect (``None``: all paths)."""
-        return self._fairness
+        super().__init__(symbolic, symbolic.function(symbolic.domain), fairness)
 
     @property
     def symbolic(self) -> SymbolicKripkeStructure:
         """The BDD encoding shared by every check against this instance."""
-        return self._symbolic
-
-    @property
-    def structure(self) -> Optional[KripkeStructure]:
-        """The explicit source structure, when this checker was built from one."""
-        return self._symbolic.source
+        return self._model
 
     # -- public API ----------------------------------------------------------
 
     def satisfaction_fn(self, formula: Formula) -> BDDFunction:
         """The satisfaction set of ``formula`` as a refcounted handle."""
-        cached = self._cache.get(formula)
-        if cached is not None:
-            return cached
-        with _span("bdd.satisfaction") as sp:
-            if _tracing():
-                sp.set(formula=str(formula)[:120])
-            result = self._compute(self._instantiate(formula))
-        self._cache[formula] = result
-        return result
+        return self._satisfaction(formula)
 
     def satisfaction_node(self, formula: Formula) -> int:
         """Return the satisfaction set of ``formula`` as a raw BDD edge id."""
-        return self.satisfaction_fn(formula).node
-
-    def satisfaction_bdd(self, formula: Formula) -> BDDFunction:
-        """Return the satisfaction set as a :class:`repro.bdd.BDDFunction`."""
-        return self.satisfaction_fn(formula)
-
-    def satisfaction_set(self, formula: Formula) -> FrozenSet[State]:
-        """Decode the satisfaction set into a frozenset of states.
-
-        This enumerates (only) the satisfying states; scalable callers should
-        prefer :meth:`check` / :meth:`satisfy_count`, which stay symbolic.
-        """
-        return self._symbolic.states_of(self.satisfaction_node(formula))
+        return self._satisfaction(formula).node
 
     def satisfy_count(self, formula: Formula) -> int:
         """The number of states satisfying ``formula``, by BDD satisfy-count."""
-        return self._symbolic.count(self.satisfaction_node(formula))
+        return self._model.count(self.satisfaction_node(formula))
 
     def check(self, formula: Formula, state: Optional[State] = None) -> bool:
         """Decide ``M, state ⊨ formula`` (default state: the initial state)."""
+        symbolic = self._model
         with _span("mc.check", engine="bdd"):
             node = self.satisfaction_node(formula)
             if state is None:
-                manager = self._symbolic.manager
-                verdict = manager.apply_and(node, self._symbolic.initial) != 0
+                verdict = symbolic.manager.apply_and(node, symbolic.initial) != 0
             else:
-                verdict = self._symbolic.holds_at(node, state)
+                verdict = symbolic.holds_at(node, state)
         _metrics.counter("mc.checks", engine="bdd").inc()
-        self._symbolic.manager.publish_metrics(engine="bdd")
+        symbolic.manager.publish_metrics(engine="bdd")
         return verdict
 
-    def check_batch(
-        self,
-        formulas: Union[Mapping[str, Formula], Iterable[Formula]],
-        state: Optional[State] = None,
-    ) -> Dict:
-        """Check a whole family of formulas against the one shared encoding.
+    # -- set representation ------------------------------------------------------
 
-        With a mapping the result is keyed by the mapping's names; with a
-        plain iterable it is keyed by the formulas themselves.  Shared
-        sub-formulas are computed once thanks to the per-formula memo.
-        """
-        if isinstance(formulas, Mapping):
-            return {name: self.check(formula, state) for name, formula in formulas.items()}
-        return {formula: self.check(formula, state) for formula in formulas}
+    def _atom(self, formula: Formula) -> BDDFunction:
+        return self._model.function(self._model.atom_node(formula))
 
-    # -- index quantifiers ------------------------------------------------------
+    def _preimage(self, target: BDDFunction) -> BDDFunction:
+        return self._model.preimage_fn(target)
 
-    def _instantiate(self, formula: Formula) -> Formula:
-        has_quantifiers = any(
-            isinstance(node, (IndexExists, IndexForall)) for node in walk(formula)
-        )
-        if not has_quantifiers:
-            return formula
-        index_values = self._symbolic.index_values
-        if index_values is None:
-            raise FragmentError(
-                "the symbolic CTL checker can only instantiate index quantifiers "
-                "on an indexed encoding; instantiate them with repro.mc.indexed "
-                "first (formula: %s)" % formula
-            )
-        return instantiate_quantifiers(formula, index_values)
+    def _decode(self, value: BDDFunction) -> FrozenSet[State]:
+        return self._model.states_of(value.node)
 
-    # -- recursive computation -------------------------------------------------
+    def _index_values(self) -> Optional[Iterable[int]]:
+        return self._model.index_values
 
-    def _fn(self, node: int) -> BDDFunction:
-        return self._symbolic.function(node)
-
-    def _domain_fn(self) -> BDDFunction:
-        return self._fn(self._symbolic.domain)
-
-    def _complement(self, operand: BDDFunction) -> BDDFunction:
-        """The complement relative to the state set ``S``."""
-        return self._domain_fn() & ~operand
-
-    def _compute(self, formula: Formula) -> BDDFunction:
-        symbolic = self._symbolic
-        if isinstance(formula, _ATOMIC):
-            return self._fn(symbolic.atom_node(formula))
-        if isinstance(formula, Not):
-            return self._complement(self.satisfaction_fn(formula.operand))
-        if isinstance(formula, And):
-            return self.satisfaction_fn(formula.left) & self.satisfaction_fn(formula.right)
-        if isinstance(formula, Or):
-            return self.satisfaction_fn(formula.left) | self.satisfaction_fn(formula.right)
-        if isinstance(formula, Implies):
-            return self._complement(self.satisfaction_fn(formula.left)) | (
-                self.satisfaction_fn(formula.right)
-            )
-        if isinstance(formula, Iff):
-            left = self.satisfaction_fn(formula.left)
-            right = self.satisfaction_fn(formula.right)
-            return self._complement(left ^ right)
-        if isinstance(formula, Exists):
-            return self._compute_exists(formula.path)
-        if isinstance(formula, ForAll):
-            return self._compute_forall(formula.path)
-        raise FragmentError("formula is not a CTL state formula: %s" % formula)
-
-    def _compute_exists(self, path: Formula) -> BDDFunction:
-        symbolic = self._symbolic
-        if isinstance(path, Next):
-            return symbolic.preimage_fn(
-                self._constrain(self.satisfaction_fn(path.operand))
-            )
-        if isinstance(path, Finally):
-            return self._eu(
-                self._domain_fn(), self._constrain(self.satisfaction_fn(path.operand))
-            )
-        if isinstance(path, Globally):
-            return self._eg_op(self.satisfaction_fn(path.operand))
-        if isinstance(path, Until):
-            return self._eu(
-                self.satisfaction_fn(path.left),
-                self._constrain(self.satisfaction_fn(path.right)),
-            )
-        if isinstance(path, Release):
-            # E[f R g]  ≡  ¬A[¬f U ¬g]
-            return self._complement(
-                self._compute_forall(Until(Not(path.left), Not(path.right)))
-            )
-        if isinstance(path, WeakUntil):
-            # E[f W g]  ≡  E[f U g] ∨ EG f
-            return self._compute_exists(Until(path.left, path.right)) | (
-                self._compute_exists(Globally(path.left))
-            )
-        raise FragmentError(
-            "E must be applied to a single temporal operator over state formulas "
-            "for CTL checking; got E(%s)" % path
-        )
-
-    def _compute_forall(self, path: Formula) -> BDDFunction:
-        symbolic = self._symbolic
-        if isinstance(path, Next):
-            # AX f ≡ ¬EX ¬f
-            return self._complement(
-                symbolic.preimage_fn(
-                    self._constrain(
-                        self._complement(self.satisfaction_fn(path.operand))
-                    )
-                )
-            )
-        if isinstance(path, Finally):
-            # AF f ≡ ¬EG ¬f
-            return self._complement(
-                self._eg_op(self._complement(self.satisfaction_fn(path.operand)))
-            )
-        if isinstance(path, Globally):
-            # AG f ≡ ¬EF ¬f
-            return self._complement(
-                self._eu(
-                    self._domain_fn(),
-                    self._constrain(
-                        self._complement(self.satisfaction_fn(path.operand))
-                    ),
-                )
-            )
-        if isinstance(path, Until):
-            # A[f U g] ≡ ¬( E[¬g U (¬f ∧ ¬g)] ∨ EG ¬g )
-            not_f = self._complement(self.satisfaction_fn(path.left))
-            not_g = self._complement(self.satisfaction_fn(path.right))
-            bad = self._eu(not_g, self._constrain(not_f & not_g)) | self._eg_op(not_g)
-            return self._complement(bad)
-        if isinstance(path, Release):
-            # A[f R g] ≡ ¬E[¬f U ¬g]
-            return self._complement(
-                self._compute_exists(Until(Not(path.left), Not(path.right)))
-            )
-        if isinstance(path, WeakUntil):
-            # A[f W g] ≡ ¬E[¬g U (¬f ∧ ¬g)]
-            not_f = self._complement(self.satisfaction_fn(path.left))
-            not_g = self._complement(self.satisfaction_fn(path.right))
-            return self._complement(self._eu(not_g, self._constrain(not_f & not_g)))
-        raise FragmentError(
-            "A must be applied to a single temporal operator over state formulas "
-            "for CTL checking; got A(%s)" % path
-        )
+    def _label(self, formula: Formula) -> BDDFunction:
+        with _span("bdd.satisfaction") as sp:
+            if _tracing():
+                sp.set(formula=str(formula)[:120])
+            return self._compute(formula)
 
     # -- fixpoint primitives -----------------------------------------------------
 
@@ -340,7 +158,7 @@ class SymbolicCTLModelChecker:
         added in round ``k - 1``, so each round's pre-image is taken of the
         *newly added* states instead of the whole accumulated set.
         """
-        symbolic = self._symbolic
+        symbolic = self._model
         with _span("bdd.fixpoint.eu") as sp:
             # Frontier node sizes are only sampled when tracing: counting
             # BDD nodes walks the graph, which the disabled fast path
@@ -376,7 +194,7 @@ class SymbolicCTLModelChecker:
         constrained pre-image was measured 5× slower here: its per-round
         frontier targets are fresh BDDs that defeat exactly that reuse.
         """
-        symbolic = self._symbolic
+        symbolic = self._model
         with _span("bdd.fixpoint.eg") as sp:
             trace_on = _tracing()
             current = operand
@@ -397,59 +215,6 @@ class SymbolicCTLModelChecker:
         )
         return current
 
-    # -- fairness ----------------------------------------------------------------
-
-    def fair_states_fn(self) -> BDDFunction:
-        """The fair states (starting at least one fair path) as a handle."""
-        if self._fairness is None:
-            return self._domain_fn()
-        if self._fair_states_fn is None:
-            self._fair_states_fn = self._fair_eg(self._domain_fn())
-        return self._fair_states_fn
-
-    def fair_states_node(self) -> int:
-        """The fair states as a raw BDD edge id."""
-        return self.fair_states_fn().node
-
-    def fair_states(self) -> FrozenSet[State]:
-        """The fair states, decoded (non-symbolic convenience for tests/reports)."""
-        return self._symbolic.states_of(self.fair_states_node())
-
-    def fairness_condition_fns(self) -> Tuple[BDDFunction, ...]:
-        """The (plain-semantics) satisfaction handles of the fairness conditions."""
-        if self._fairness is None:
-            return ()
-        if self._fair_condition_fns is None:
-            # Conditions are decided under the unconstrained semantics by a
-            # plain sub-checker sharing this instance's encoding.
-            plain = SymbolicCTLModelChecker(self._symbolic, validate_structure=False)
-            self._fair_condition_fns = tuple(
-                plain.satisfaction_fn(condition)
-                for condition in self._fairness.conditions
-            )
-        return self._fair_condition_fns
-
-    def fairness_condition_nodes(self) -> Tuple[int, ...]:
-        """The fairness-condition satisfaction sets as raw BDD edge ids."""
-        return tuple(fn.node for fn in self.fairness_condition_fns())
-
-    def fairness_condition_sets(self) -> Tuple[FrozenSet[State], ...]:
-        """The fairness-condition satisfaction sets, decoded into frozensets."""
-        states_of = self._symbolic.states_of
-        return tuple(states_of(node) for node in self.fairness_condition_nodes())
-
-    def _constrain(self, target: BDDFunction) -> BDDFunction:
-        """Conjoin an ``EX``/``EU`` target with the fair states (no-op when unconstrained)."""
-        if self._fairness is None:
-            return target
-        return target & self.fair_states_fn()
-
-    def _eg_op(self, operand: BDDFunction) -> BDDFunction:
-        """Dispatch ``EG`` to the plain or the fairness-constrained fixpoint."""
-        if self._fairness is None:
-            return self._eg(operand)
-        return self._fair_eg(operand)
-
     def _fair_eg(self, operand: BDDFunction) -> BDDFunction:
         """Emerson–Lei fixpoint for fair ``EG operand``.
 
@@ -465,9 +230,9 @@ class SymbolicCTLModelChecker:
         fixpoint survives the stronger condition while the inner fixpoints
         stay small).
         """
-        symbolic = self._symbolic
+        symbolic = self._model
         with _span("bdd.fixpoint.fair_eg", conditions=len(self._fairness or ())) as sp:
-            condition_fns = self.fairness_condition_fns()
+            condition_fns = self._conditions()
             current = self._eg(operand)
             rounds = 0
             result = None

@@ -4,7 +4,7 @@ No single engine dominates this codebase's workloads: the explicit bitset
 fixpoints win on small reachable graphs, the symbolic engine on blown-up
 ones, bounded model checking on shallow counterexamples, IC3 on deep
 invariants.  :class:`PortfolioModelChecker` registers as the sixth engine
-(``engine="portfolio"`` in :func:`repro.mc.bitset.make_ctl_checker` and the
+(``engine="portfolio"`` in :func:`repro.mc.registry.make_ctl_checker` and the
 CLI) and, per property, races a configurable subset of the other engines in
 supervised worker processes (:mod:`repro.runtime.supervisor`):
 
@@ -110,7 +110,7 @@ def run_engine_check(
     from repro.kripke.symbolic import SymbolicKripkeStructure
 
     if engine in _SAT_RACE_ENGINES:
-        from repro.mc.bitset import make_ctl_checker
+        from repro.mc.registry import make_ctl_checker
 
         checker = make_ctl_checker(structure, engine=engine, bound=bound)
         try:
@@ -149,7 +149,7 @@ class PortfolioModelChecker:
 
     ``structure``
         An explicit or symbolic structure every raced engine can accept
-        (the :func:`~repro.mc.bitset.make_ctl_checker` path).  Mutually
+        (the :func:`~repro.mc.registry.make_ctl_checker` path).  Mutually
         exclusive with ``sources``.
     ``sources``
         Mapping from engine name to a worker-side structure recipe

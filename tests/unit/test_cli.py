@@ -245,6 +245,29 @@ def test_bmc_profile_reports_sat_statistics(capsys):
     assert payload["bdd"]["live_nodes"] > 0
 
 
+def test_profile_times_every_check_with_its_outcome(capsys):
+    import json
+
+    # At bound 3 k-induction cannot settle pairwise mutual exclusion; the
+    # inconclusive attempt still gets a timed phase, as do the skipped ones.
+    exit_code = main(["--engine", "bmc", "--ring-size", "3", "--bound", "3", "--profile"])
+    captured = capsys.readouterr()
+    assert exit_code == 0
+    payload = json.loads(captured.err)
+    phases = {phase["name"]: phase for phase in payload["phases"]}
+    assert phases["check invariant mutual_exclusion"]["outcome"] == "inconclusive"
+    assert phases["check invariant one_token"]["outcome"] == "holds"
+    assert any(phase.get("outcome") == "skipped" for phase in phases.values())
+    rows = [
+        line for line in captured.out.splitlines()
+        if line.startswith(("  property ", "  invariant "))
+    ]
+    assert len(payload["phases"]) == 1 + len(rows)
+    assert payload["total_seconds"] == pytest.approx(
+        sum(phase["seconds"] for phase in payload["phases"])
+    )
+
+
 def test_ic3_profile_reports_frame_counters(capsys):
     import json
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.mc.bitset import CTL_ENGINES, ENGINE_NAMES
+from repro.mc.registry import CTL_ENGINES, ENGINE_NAMES
 
 _REPO_ROOT = Path(__file__).resolve().parents[2]
 _DOC_FILES = [

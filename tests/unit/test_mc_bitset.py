@@ -1,4 +1,4 @@
-"""Unit tests for the bitset CTL engine and the engine selection plumbing."""
+"""Unit tests for the bitset CTL engine, the shared fixpoint core and engine selection."""
 
 import pytest
 
@@ -8,7 +8,9 @@ from repro.kripke.structure import KripkeStructure
 from repro.logic import parse
 from repro.logic.ast import Atom, IndexExists
 from repro.logic.transform import instantiate_quantifiers
-from repro.mc.bitset import BitsetCTLModelChecker, make_ctl_checker
+from repro.mc.bitset import BitsetCTLModelChecker
+from repro.mc.registry import make_ctl_checker
+from repro.mc.symbolic import SymbolicCTLModelChecker
 from repro.mc.ctl import CTLModelChecker
 from repro.mc.indexed import ICTLStarModelChecker, check_batch
 from repro.mc.oracle import crosscheck_ctl_engines
@@ -30,6 +32,13 @@ FORMULAS = [
     "A (p U q)",
     "A G (p -> A F q)",
     "E F (q & E X p)",
+]
+
+
+#: The engines built on the shared fixpoint core (``repro.mc.fixpoint``).
+FIXPOINT_CHECKERS = [
+    pytest.param(BitsetCTLModelChecker, id="bitset"),
+    pytest.param(SymbolicCTLModelChecker, id="bdd"),
 ]
 
 
@@ -66,8 +75,9 @@ def test_checker_accepts_precompiled_structure(branching_structure):
     assert checker.check(parse("E F q"))
 
 
-def test_check_batch_shares_one_compilation(branching_structure):
-    checker = BitsetCTLModelChecker(branching_structure)
+@pytest.mark.parametrize("checker_class", FIXPOINT_CHECKERS)
+def test_check_batch_shares_one_compilation(branching_structure, checker_class):
+    checker = checker_class(branching_structure)
     named = checker.check_batch({"ef_q": parse("E F q"), "ag_true": parse("A G true")})
     assert named == {"ef_q": True, "ag_true": True}
     formulas = [parse("E F q"), parse("E G p")]
@@ -75,8 +85,11 @@ def test_check_batch_shares_one_compilation(branching_structure):
     assert set(keyed) == set(formulas)
 
 
-def test_label_batch_computes_each_shared_subformula_once(branching_structure):
-    checker = BitsetCTLModelChecker(branching_structure)
+@pytest.mark.parametrize("checker_class", FIXPOINT_CHECKERS)
+def test_label_batch_computes_each_shared_subformula_once(
+    branching_structure, checker_class
+):
+    checker = checker_class(branching_structure)
     computed = []
     original = checker._compute
 
@@ -93,18 +106,19 @@ def test_label_batch_computes_each_shared_subformula_once(branching_structure):
         parse("(p | q) & E X p"),
     ]
     results = checker.check_batch(family)
-    fresh = BitsetCTLModelChecker(branching_structure)
+    fresh = checker_class(branching_structure)
     assert results == {formula: fresh.check(formula) for formula in family}
     assert computed.count(shared) == 1
     assert computed.count(parse("p")) == 1
     assert computed.count(parse("q")) == 1
-    # Every distinct sub-formula landed in the shared bitmask table.
+    # Every distinct sub-formula landed in the shared satisfaction-set table.
     assert shared in checker._cache
     for formula in family:
         assert formula in checker._cache
 
 
-def test_label_batch_matches_individual_checks(ring3):
+@pytest.mark.parametrize("checker_class", FIXPOINT_CHECKERS)
+def test_label_batch_matches_individual_checks(ring3, checker_class):
     from repro.logic.transform import instantiate_quantifiers
     from repro.systems import token_ring
 
@@ -112,8 +126,8 @@ def test_label_batch_matches_individual_checks(ring3):
         instantiate_quantifiers(formula, ring3.index_values)
         for formula in token_ring.ring_properties().values()
     ]
-    batch = BitsetCTLModelChecker(ring3).check_batch(family)
-    fresh = BitsetCTLModelChecker(ring3)
+    batch = checker_class(ring3).check_batch(family)
+    fresh = checker_class(ring3)
     for formula in family:
         assert batch[formula] == fresh.check(formula)
 

@@ -30,7 +30,7 @@ from repro.mc import (
     resolve_checker,
     witness_eg,
 )
-from repro.mc.bitset import CTL_ENGINES
+from repro.mc.registry import CTL_ENGINES
 from repro.systems import token_ring
 
 

@@ -6,7 +6,8 @@ from repro.errors import FragmentError, InconclusiveError
 from repro.kripke.paths import is_path
 from repro.logic.ast import And, Atom, Exists, Finally, Implies, Not, Or
 from repro.logic.builders import AF, AG, EF, EG
-from repro.mc.bitset import ENGINE_NAMES, BitsetCTLModelChecker, make_ctl_checker
+from repro.mc.bitset import BitsetCTLModelChecker
+from repro.mc.registry import ENGINE_NAMES, make_ctl_checker
 from repro.mc.fairness import FairnessConstraint
 from repro.mc.ic3 import DEFAULT_MAX_FRAMES, IC3ModelChecker, InvariantCertificate
 from repro.mc.indexed import ICTLStarModelChecker

@@ -14,7 +14,8 @@ from repro.kripke.structure import KripkeStructure
 from repro.logic.ast import Atom, IndexExists, IndexedAtom
 from repro.logic.builders import AF, AG, AU, EF, EG, EU, EX, implies, lnot
 from repro.logic.parser import parse
-from repro.mc.bitset import CTL_ENGINES, BitsetCTLModelChecker, make_ctl_checker
+from repro.mc.bitset import BitsetCTLModelChecker
+from repro.mc.registry import CTL_ENGINES, make_ctl_checker
 from repro.mc.indexed import ICTLStarModelChecker
 from repro.mc.oracle import find_lasso_witness, simple_lasso_exists
 from repro.mc.symbolic import SymbolicCTLModelChecker, check, satisfaction_set
@@ -54,7 +55,7 @@ def test_satisfaction_bdd_and_memo(branching_structure):
     formula = EF(Atom("q"))
     first = checker.satisfaction_node(formula)
     assert checker.satisfaction_node(formula) == first
-    wrapped = checker.satisfaction_bdd(formula)
+    wrapped = checker.satisfaction_fn(formula)
     assert wrapped.node == first
     assert wrapped.manager is checker.symbolic.manager
 

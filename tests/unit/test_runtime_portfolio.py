@@ -23,7 +23,7 @@ from repro.errors import (
     ModelCheckingError,
     ReproError,
 )
-from repro.mc.bitset import make_ctl_checker
+from repro.mc.registry import make_ctl_checker
 from repro.runtime.chaos import ChaosConfig
 from repro.runtime.portfolio import (
     DEFAULT_RACE_ENGINES,

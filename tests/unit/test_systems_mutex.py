@@ -131,7 +131,7 @@ class TestBMCTarget:
 
     def test_all_four_engines_agree_on_safety(self, mutex3, mutex3_buggy):
         from repro.mc import make_ctl_checker
-        from repro.mc.bitset import ENGINE_NAMES
+        from repro.mc.registry import ENGINE_NAMES
 
         for structure, expected in ((mutex3, True), (mutex3_buggy, False)):
             size = len(structure.index_values)
